@@ -155,9 +155,9 @@ def configs_match(baseline: dict, current: dict) -> bool:
     """True when the two artifacts measured the same workload.
 
     Compares normalized configs: the kernels backend and compute dtype
-    participate in workload identity (a numba or float32 run is *not*
-    the same workload as the numpy float64 reference), while recorded
-    measurements like JIT compile times do not.
+    participate in workload identity (a float32 run is *not* the same
+    workload as the float64 reference), while recorded measurements
+    like JIT compile times do not.
     """
     return normalize_config(baseline.get("config")) == normalize_config(
         current.get("config")

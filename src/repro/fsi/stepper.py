@@ -33,7 +33,8 @@ import numpy as np
 from ..ibm.coupling import IBMCoupler
 from ..lbm.grid import Grid
 from ..lbm.solver import BoundaryHandler, LBMSolver
-from ..parallel.fsi import ParallelFSIRuntime, resolve_fsi_backend
+from ..parallel.executor import resolve_backend
+from ..parallel.fsi import ParallelFSIRuntime
 from ..telemetry import get_telemetry
 from ..units import UnitSystem
 from .cell_manager import CellManager
@@ -70,10 +71,9 @@ class FSIStepper:
         (``None``: resolve from the ``REPRO_PARALLEL_*`` environment,
         defaulting to ``serial``).
     kernels:
-        Kernels backend for the compiled hot paths (``"numpy"`` |
-        ``"numba"`` | ``"arrayapi:numpy"`` | ``"arrayapi:cupy"``;
-        ``None`` resolves via ``REPRO_KERNELS``, which also overrides an
-        explicit argument — see :mod:`repro.kernels`).
+        Kernels backend for the hot paths (``"numpy"`` or a registered
+        backend; ``None`` resolves via ``REPRO_KERNELS``, which also
+        overrides an explicit argument — see :mod:`repro.kernels`).
     """
 
     def __init__(
@@ -110,7 +110,7 @@ class FSIStepper:
         self.wall_geometry = wall_geometry
         self.wall_cutoff = wall_cutoff
         self.wall_stiffness = wall_stiffness
-        self.backend, self.n_workers = resolve_fsi_backend(backend, workers)
+        self.backend, self.n_workers = resolve_backend(backend, workers)
         self._runtime: ParallelFSIRuntime | None = None
         self._wall_prefilter: WallProximityPrefilter | None = None
         self.body_force_lattice = np.zeros(3)

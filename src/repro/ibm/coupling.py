@@ -204,8 +204,9 @@ class IBMCoupler:
     mode:
         'clip' for bounded windows, 'wrap' for periodic domains.
     kernels:
-        Kernels backend for the spread/interp inner loops (``"numpy"`` |
-        ``"numba"``; ``None`` resolves via ``REPRO_KERNELS``).
+        Kernels backend for the spread/interp inner loops (``"numpy"``
+        or a registered backend; ``None`` resolves via
+        ``REPRO_KERNELS``).
 
     Within one FSI step the stepper calls :meth:`begin_step` with the
     packed vertex array, then both :meth:`spread_forces` and

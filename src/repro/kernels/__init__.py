@@ -1,50 +1,33 @@
-"""Compiled-kernel dispatch layer for the FSI hot paths.
+"""Kernel dispatch layer for the FSI hot paths.
 
-The four dominant per-step phases — BGK collide(+stream), Skalak and
-bending membrane forces, and IBM spread/interp — are registered here as
-named kernels with one implementation per *kernels backend*:
-
-* ``numpy`` — the existing allocation-free NumPy code, refactored behind
-  the interface as the reference implementation (bitwise identical to
-  the pre-dispatch hot path);
-* ``numba`` — ``@njit(parallel=True, cache=True, fastmath=False)``
-  compiled loops (:mod:`repro.kernels.numba_backend`), held to the NumPy
-  serial trajectory within 1e-12 by the golden kernels×backend matrix
-  (bitwise equality is not promised: compiled loops reassociate the
-  moment/force reductions);
-* ``arrayapi:numpy`` / ``arrayapi:cupy`` — one device-portable
-  implementation (:mod:`repro.kernels.array_api_backend`) written against
-  a duck-typed array namespace ``xp``.  On the numpy namespace it mirrors
-  the reference's elementary operation order, so ``arrayapi:numpy`` is
-  bitwise identical to ``numpy`` (CI-testable without a GPU); the cupy
-  namespace registers automatically when CuPy imports and keeps ``f``,
-  packed vertices, and IBM scratch resident on the device across steps.
+The dominant per-step phases — BGK collide(+stream), Skalak and bending
+membrane forces, and IBM spread/interp — are registered here as named
+kernels.  The one shipped implementation is the ``numpy`` backend
+(:mod:`repro.kernels.numpy_backend`): the allocation-free NumPy code,
+bitwise identical to the pre-dispatch hot path.
 
 Selection follows the established ``REPRO_PARALLEL_*`` pattern with one
 deliberate inversion: the ``REPRO_KERNELS`` environment variable, when
 set, **wins over** the constructor argument, so a CI leg or an operator
 can force every solver in a process onto one backend without touching
-call sites.  When numba is requested but absent (or its import fails),
-selection falls back to NumPy with a one-time warning; likewise
-``arrayapi:cupy`` without an importable CuPy falls back to
-``arrayapi:numpy``.
+call sites.  Requesting a backend that is not registered raises a
+``ValueError`` naming the request's source.
 
 The compute dtype follows the same precedence via ``REPRO_DTYPE``
 (:func:`resolve_dtype`): ``float32`` halves the Eulerian memory
-bandwidth on CPU and is the native fast path on GPU; the Lagrangian
-membrane state stays float64 by design (see docs/performance.md).
+bandwidth; the Lagrangian membrane state stays float64 by design (see
+docs/performance.md).
 
 The seam is a plain name → backend → callable registry: a new backend
-registers its adapters under a backend name via :func:`register_backend`
-and every call site picks it up through the same
-:func:`get_kernel_table` — no call-site changes required.
+(compiled or device) registers its adapters under a backend name via
+:func:`register_backend` and every call site picks it up through the
+same :func:`get_kernel_table` — no call-site changes required.  Kernels
+a backend does not provide fall back to the numpy reference.
 """
 
 from __future__ import annotations
 
 import os
-import time
-import warnings
 from typing import Callable
 
 import numpy as np
@@ -77,8 +60,9 @@ KERNEL_NAMES = (
     "ibm_spread_scatter",
 )
 
-#: Stable numeric ids for the ``kernels.backend`` telemetry gauge.
-BACKEND_IDS = {"numpy": 0, "numba": 1, "arrayapi:numpy": 2, "arrayapi:cupy": 3}
+#: Stable numeric ids for the ``kernels.backend`` telemetry gauge
+#: (backends registered later publish -1).
+BACKEND_IDS = {"numpy": 0}
 
 #: Environment variable selecting the compute dtype process-wide.
 DTYPE_ENV_VAR = "REPRO_DTYPE"
@@ -92,9 +76,6 @@ DTYPE_NAMES = ("float32", "float64")
 
 #: name -> backend -> callable.  Populated by the backend modules below.
 _REGISTRY: dict[str, dict[str, Callable]] = {name: {} for name in KERNEL_NAMES}
-
-_warned_fallback = False
-_warned_cupy_fallback = False
 
 
 def resolve_dtype(dtype=None) -> "np.dtype":
@@ -149,45 +130,20 @@ def register_backend(backend: str, table: dict[str, Callable]) -> None:
         register_kernel(name, backend, fn)
 
 
-def available_backends() -> tuple[str, ...]:
-    """Kernels backends usable in this process, reference first.
-
-    CLI, docs examples, and the test suite use this probe to skip the
-    numba legs gracefully when numba is not installed.
-    """
-    backends = ["numpy"]
-    if _numba_backend.NUMBA_AVAILABLE:
-        backends.append("numba")
-    # Any future registered backend (e.g. cupy) shows up automatically.
-    for name in _REGISTRY.values():
-        for backend in name:
-            if backend not in backends:
-                backends.append(backend)
-    return tuple(backends)
-
-
 def _known_backends() -> tuple[str, ...]:
-    # ``numba`` and ``arrayapi:cupy`` are always *known* (requesting them
-    # is never a typo) even when their imports are absent — requests fall
-    # back gracefully in :func:`resolve_kernels` instead of raising.
-    known = {"numpy", "numba", "arrayapi:cupy"}
+    known = set()
     for impls in _REGISTRY.values():
         known.update(impls)
     return tuple(sorted(known))
 
 
 def resolve_kernels(backend: str | None = None) -> str:
-    """Resolve a kernels-backend request against env and availability.
+    """Resolve a kernels-backend request against the environment.
 
     Precedence: ``REPRO_KERNELS`` env var (when set) > ``backend``
-    argument > :data:`DEFAULT_BACKEND`.  A request for ``numba`` when
-    numba is absent (or failed to import) falls back to ``"numpy"`` with
-    a one-time :class:`RuntimeWarning`; a request for ``arrayapi:cupy``
-    when CuPy is absent likewise falls back to ``"arrayapi:numpy"`` (the
-    same device-portable code on the host namespace).  Unknown names
-    raise.
+    argument > :data:`DEFAULT_BACKEND`.  Names no backend registered
+    raise, attributing the request to its source.
     """
-    global _warned_fallback, _warned_cupy_fallback
     env = os.environ.get(ENV_VAR)
     requested = env if env else (backend if backend is not None else DEFAULT_BACKEND)
     if requested not in _known_backends():
@@ -196,28 +152,6 @@ def resolve_kernels(backend: str | None = None) -> str:
             f"unknown kernels backend {requested!r} (from {source}); "
             f"pick one of {_known_backends()}"
         )
-    if requested == "numba" and not _numba_backend.NUMBA_AVAILABLE:
-        if not _warned_fallback:
-            warnings.warn(
-                "kernels backend 'numba' requested but numba is not "
-                "importable; falling back to the NumPy reference kernels "
-                "(pip install 'repro[jit]' to enable compiled kernels)",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            _warned_fallback = True
-        return "numpy"
-    if requested == "arrayapi:cupy" and not _array_api_backend.CUPY_AVAILABLE:
-        if not _warned_cupy_fallback:
-            warnings.warn(
-                "kernels backend 'arrayapi:cupy' requested but cupy is not "
-                "importable; falling back to the same array-API kernels on "
-                "the host numpy namespace ('arrayapi:numpy')",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            _warned_cupy_fallback = True
-        return "arrayapi:numpy"
     return requested
 
 
@@ -261,46 +195,12 @@ def get_kernel_table(backend: str | None = None) -> dict[str, Callable]:
     return table
 
 
-def warmup(backend: str | None = None) -> dict[str, float]:
-    """Trigger JIT compilation of every kernel of the resolved backend.
-
-    Returns per-kernel wall seconds of the first (compiling) call on
-    tiny representative inputs — the number the hot-path benchmark
-    records so compile time is visibly excluded from its timed window.
-    Empty for the numpy backend (nothing to compile).  With numba's
-    ``cache=True`` a warmed disk cache makes subsequent runs cheap; the
-    reported times reflect whatever this process actually paid.
-    """
-    resolved = resolve_kernels(backend)
-    if resolved == "numba" and _numba_backend.NUMBA_AVAILABLE:
-        calls = _numba_backend.warmup_calls()
-    elif resolved.startswith("arrayapi:"):
-        # Nothing to compile on the host namespace; on cupy the tiny
-        # calls trigger the per-kernel RawModule/ufunc compilations and
-        # the initial device allocations outside any timed window.
-        calls = _array_api_backend.warmup_calls(resolved)
-    else:
-        return {}
-    times: dict[str, float] = {}
-    for name, call in calls:
-        t0 = time.perf_counter()
-        call()
-        times[name] = time.perf_counter() - t0
-    return times
-
-
-# Backend imports live at the bottom, after every registry function is
-# defined: the numpy backend reaches into ``repro.fsi`` (whose stepper
+# The backend import lives at the bottom, after every registry function
+# is defined: the numpy backend reaches into ``repro.fsi`` (whose stepper
 # pulls ``repro.parallel``, which imports this module's resolve/table
 # functions at top level), so the registry API must be complete before
-# those modules execute.  Import order: numpy first (the reference), then
-# numba (gated — the module always imports, registration happens only
-# when numba itself imported cleanly), then the array-API backend
-# (``arrayapi:numpy`` always registers; ``arrayapi:cupy`` only when CuPy
-# itself imported cleanly).
-from . import numpy_backend as _numpy_backend  # noqa: E402
-from . import numba_backend as _numba_backend  # noqa: E402
-from . import array_api_backend as _array_api_backend  # noqa: E402
+# those modules execute.
+from . import numpy_backend as _numpy_backend  # noqa: E402,F401
 
 __all__ = [
     "ENV_VAR",
@@ -310,12 +210,10 @@ __all__ = [
     "DTYPE_NAMES",
     "KERNEL_NAMES",
     "BACKEND_IDS",
-    "available_backends",
     "get_kernel",
     "get_kernel_table",
     "register_kernel",
     "register_backend",
     "resolve_dtype",
     "resolve_kernels",
-    "warmup",
 ]

@@ -51,9 +51,10 @@ class LBMSolver:
         the FSI layer uses this to spread membrane forces into
         ``grid.force`` (Eq. 6 of the paper).
     kernels:
-        Kernels backend for the collide/stream hot path (``"numpy"`` |
-        ``"numba"``; ``None`` resolves via ``REPRO_KERNELS``, which also
-        overrides an explicit argument — see :mod:`repro.kernels`).
+        Kernels backend for the collide/stream hot path (``"numpy"`` or
+        a registered backend; ``None`` resolves via ``REPRO_KERNELS``,
+        which also overrides an explicit argument — see
+        :mod:`repro.kernels`).
     """
 
     def __init__(

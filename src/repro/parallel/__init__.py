@@ -33,7 +33,7 @@ from .distributed import (
     resolve_dist_overlap,
     resolve_halo_pack,
 )
-from .fsi import FSI_PHASES, ParallelFSIRuntime, resolve_fsi_backend
+from .fsi import FSI_PHASES, ParallelFSIRuntime
 from .measure import (
     halo_pack_comparison,
     measure_throughput,
@@ -65,7 +65,6 @@ __all__ = [
     "resolve_dist_overlap",
     "FSI_PHASES",
     "ParallelFSIRuntime",
-    "resolve_fsi_backend",
     "measure_throughput",
     "measured_scaling_curve",
     "measured_weak_scaling",

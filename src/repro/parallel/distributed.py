@@ -115,7 +115,7 @@ class DistributedLBMSolver:
         (pre-exchange ``f`` and redundantly collide the ghost rim).
     kernels:
         Kernels backend for the rank-local collide/stream
-        (``"numpy"`` | ``"numba"``; ``None`` resolves via
+        (``"numpy"`` or a registered backend; ``None`` resolves via
         ``REPRO_KERNELS``, which also overrides an explicit argument).
     dtype:
         Compute dtype for the rank-local distribution blocks

@@ -78,13 +78,16 @@ STEP_SUBPHASES = ("collide", "halo", "stream")
 def resolve_backend(
     backend: str | None,
     n_workers: int | None,
-    n_tasks: int,
+    n_tasks: int | None = None,
 ) -> tuple[str, int]:
     """Resolve backend/worker-count requests against env and hardware.
 
     ``None`` values fall back to ``REPRO_PARALLEL_BACKEND`` (default
     ``serial``) and ``REPRO_PARALLEL_WORKERS`` (default: one worker per
-    CPU, capped at the rank count).
+    CPU).  ``n_tasks`` caps the worker count at the rank count of a
+    decomposed lattice; the FSI runtime passes ``None`` because it
+    shards cells and markers, whose counts change at runtime.  A worker
+    count that is not an integer of at least 1 raises, naming its source.
     """
     if backend is None:
         backend = os.environ.get("REPRO_PARALLEL_BACKEND", "serial")
@@ -92,8 +95,20 @@ def resolve_backend(
         raise ValueError(f"unknown backend {backend!r}; pick one of {BACKENDS}")
     if n_workers is None:
         env = os.environ.get("REPRO_PARALLEL_WORKERS")
-        n_workers = int(env) if env else (os.cpu_count() or 1)
-    n_workers = max(1, min(int(n_workers), n_tasks))
+        source = f"REPRO_PARALLEL_WORKERS={env!r}"
+        n_workers = env if env else (os.cpu_count() or 1)
+    else:
+        source = f"workers={n_workers!r}"
+    try:
+        n_workers = int(n_workers)
+    except ValueError:
+        raise ValueError(
+            f"worker count must be an integer (from {source})"
+        ) from None
+    if n_workers < 1:
+        raise ValueError(f"worker count must be at least 1 (from {source})")
+    if n_tasks is not None:
+        n_workers = min(n_workers, n_tasks)
     if backend == "serial":
         n_workers = 1
     return backend, n_workers
@@ -602,9 +617,7 @@ def _worker_main(conn, ranks, segment_names, decomp, tau,
     whose single mid-step synchronization is the shared ``barrier``
     (parties = worker count), so a whole step costs ONE pipe round-trip.
     ``kernels`` arrives pre-resolved from the parent so every worker
-    runs the same kernels backend the parent selected (the child
-    re-resolves it against its own numba availability, falling back to
-    NumPy rather than dying).
+    runs the same kernels backend the parent selected.
     """
     segments = []
     pairs: list[np.ndarray] = []

@@ -43,7 +43,6 @@ with a GC finalizer as the safety net.
 
 from __future__ import annotations
 
-import os
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -57,34 +56,10 @@ from ..ibm.coupling import make_stencil
 from ..ibm.kernels import KERNELS, DeltaKernel
 from ..kernels import get_kernel_table, resolve_kernels
 from ..telemetry import get_telemetry
-from .executor import BACKENDS, _shutdown_workers, _unlink_segments
+from .executor import _shutdown_workers, _unlink_segments, resolve_backend
 
 #: Parallel FSI phases, in per-step execution order.
 FSI_PHASES = ("forces", "stencil", "contrib", "scatter", "interp")
-
-
-def resolve_fsi_backend(
-    backend: str | None, n_workers: int | None
-) -> tuple[str, int]:
-    """Resolve the FSI backend/worker-count against env and hardware.
-
-    Same contract as :func:`repro.parallel.executor.resolve_backend`
-    (``REPRO_PARALLEL_BACKEND`` / ``REPRO_PARALLEL_WORKERS`` fallbacks)
-    but without a rank-count cap: the FSI step shards cells and markers,
-    whose counts change at runtime, so the worker count is capped only by
-    the CPU count.
-    """
-    if backend is None:
-        backend = os.environ.get("REPRO_PARALLEL_BACKEND", "serial")
-    if backend not in BACKENDS:
-        raise ValueError(f"unknown backend {backend!r}; pick one of {BACKENDS}")
-    if n_workers is None:
-        env = os.environ.get("REPRO_PARALLEL_WORKERS")
-        n_workers = int(env) if env else (os.cpu_count() or 1)
-    n_workers = max(1, int(n_workers))
-    if backend == "serial":
-        n_workers = 1
-    return backend, n_workers
 
 
 # ----------------------------------------------------------------------
@@ -304,8 +279,7 @@ def _fsi_worker_main(conn, kernel_name, mode, grid_shape, origin,
     The parent acts as the barrier between stages by collecting every
     worker's reply before issuing the next command; array data never
     crosses the pipe (it lives in the shared segments).  ``kernels`` is
-    the parent's resolved kernels-backend name (the child re-resolves it
-    so a numba-less child falls back to NumPy instead of dying).
+    the parent's resolved kernels-backend name.
 
     Stage replies travel as ``(payload, t0, t1)`` with the interval
     stamped on ``time.perf_counter`` — system-wide ``CLOCK_MONOTONIC``
@@ -428,7 +402,7 @@ class ParallelFSIRuntime:
         n_workers: int | None = None,
         kernels: str | None = None,
     ):
-        self.backend, self.n_workers = resolve_fsi_backend(backend, n_workers)
+        self.backend, self.n_workers = resolve_backend(backend, n_workers)
         self.kernels = resolve_kernels(kernels)
         self._kt = get_kernel_table(self.kernels)
         self.kernel = KERNELS[kernel] if isinstance(kernel, str) else kernel

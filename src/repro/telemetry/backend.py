@@ -1,4 +1,4 @@
-"""Telemetry backends and the process-local installation point.
+"""Telemetry backends and the per-thread installation point.
 
 :class:`Telemetry` is the live backend: phases, metrics and events all
 feed it, and it can persist an ``events.jsonl`` stream plus an
@@ -19,6 +19,7 @@ Instrumented library code never takes a telemetry argument; it calls
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import time
 from pathlib import Path
 
@@ -256,27 +257,32 @@ class NullTelemetry:
 
 
 NULL = NullTelemetry()
-_current: Telemetry | NullTelemetry = NULL
+
+#: The installed backend is per thread (per context): concurrent inline
+#: campaign jobs each see their own, and a new thread starts from
+#: :data:`NULL` rather than inheriting another thread's backend.
+_current: contextvars.ContextVar = contextvars.ContextVar(
+    "repro_telemetry", default=NULL
+)
 
 
 def get_telemetry() -> Telemetry | NullTelemetry:
-    """The currently installed backend (NullTelemetry by default)."""
-    return _current
+    """The backend installed in this thread (NullTelemetry by default)."""
+    return _current.get()
 
 
 def set_telemetry(tel: Telemetry | NullTelemetry | None):
-    """Install ``tel`` process-wide; ``None`` restores the null backend."""
-    global _current
-    _current = tel if tel is not None else NULL
-    return _current
+    """Install ``tel`` for this thread; ``None`` restores the null backend."""
+    tel = tel if tel is not None else NULL
+    _current.set(tel)
+    return tel
 
 
 @contextlib.contextmanager
 def active(tel: Telemetry | NullTelemetry):
     """Scoped installation: restores the previous backend on exit."""
-    prev = get_telemetry()
-    set_telemetry(tel)
+    token = _current.set(tel)
     try:
         yield tel
     finally:
-        set_telemetry(prev)
+        _current.reset(token)

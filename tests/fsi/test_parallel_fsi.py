@@ -18,7 +18,7 @@ from repro.fsi import CellManager, FSIStepper
 from repro.lbm import Grid
 from repro.membrane import make_rbc
 from repro.membrane.cell import random_rotation
-from repro.parallel import BACKENDS, ParallelFSIRuntime, resolve_fsi_backend
+from repro.parallel import BACKENDS, ParallelFSIRuntime
 from repro.telemetry import Telemetry, active
 from repro.units import UnitSystem
 
@@ -271,28 +271,6 @@ def test_runtime_requires_begin_step():
 
 # ----------------------------------------------------------------------
 # Backend resolution and environment plumbing.
-
-
-def test_resolve_fsi_backend_defaults(monkeypatch):
-    monkeypatch.delenv("REPRO_PARALLEL_BACKEND", raising=False)
-    monkeypatch.delenv("REPRO_PARALLEL_WORKERS", raising=False)
-    backend, workers = resolve_fsi_backend(None, None)
-    assert backend == "serial"
-    assert workers == 1
-
-
-def test_resolve_fsi_backend_env(monkeypatch):
-    monkeypatch.setenv("REPRO_PARALLEL_BACKEND", "threads")
-    monkeypatch.setenv("REPRO_PARALLEL_WORKERS", "3")
-    assert resolve_fsi_backend(None, None) == ("threads", 3)
-    # Explicit arguments win over the environment.
-    assert resolve_fsi_backend("serial", 5) == ("serial", 1)
-    assert resolve_fsi_backend("processes", 2) == ("processes", 2)
-
-
-def test_resolve_fsi_backend_rejects_unknown():
-    with pytest.raises(ValueError):
-        resolve_fsi_backend("mpi", None)
 
 
 def test_env_backend_reaches_stepper(monkeypatch):

@@ -1,18 +1,16 @@
 """Dispatch-seam contracts of the repro.kernels registry.
 
 Selection precedence (the deliberate env-wins inversion), unknown-name
-errors, the numba-absent fallback, registry round-trips, partial-backend
-fallback to the numpy reference, and the telemetry gauge — everything a
-call site relies on before any numerical kernel runs.
+errors, registry round-trips, partial-backend fallback to the numpy
+reference, the telemetry gauge and the compute-dtype policy — everything
+a call site relies on before any numerical kernel runs.
 """
-
-import warnings
 
 import numpy as np
 import pytest
 
 from repro import kernels
-from repro.kernels import numba_backend
+from repro.kernels import DEFAULT_DTYPE, DTYPE_ENV_VAR, resolve_dtype
 from repro.telemetry import Telemetry, active
 
 
@@ -22,14 +20,23 @@ def clean_env(monkeypatch):
     monkeypatch.delenv(kernels.ENV_VAR, raising=False)
 
 
+@pytest.fixture
+def fake_backend():
+    """A partial backend registered for one test: only ``collide_bgk``."""
+
+    def fake_collide(*a, **k):  # pragma: no cover - never called
+        raise AssertionError("fake kernels never run")
+
+    kernels.register_backend("fake", {"collide_bgk": fake_collide})
+    try:
+        yield fake_collide
+    finally:
+        for impls in kernels._REGISTRY.values():
+            impls.pop("fake", None)
+
+
 # ----------------------------------------------------------------------
-# Availability probe and defaults
-
-
-def test_available_backends_reference_first():
-    backends = kernels.available_backends()
-    assert backends[0] == "numpy"
-    assert ("numba" in backends) == numba_backend.NUMBA_AVAILABLE
+# Defaults
 
 
 def test_resolve_default_is_numpy():
@@ -45,19 +52,14 @@ def test_resolve_explicit_numpy():
 # Precedence: the env var, when set, wins over the constructor argument.
 
 
-def test_env_wins_over_constructor_argument(monkeypatch):
+def test_env_wins_over_constructor_argument(monkeypatch, fake_backend):
     monkeypatch.setenv(kernels.ENV_VAR, "numpy")
-    # An explicit "numba" request is overridden by the environment —
-    # the inversion of the REPRO_PARALLEL_* precedence, so an operator
-    # can force the reference kernels process-wide.
-    assert kernels.resolve_kernels("numba") == "numpy"
-
-
-@pytest.mark.skipif(not numba_backend.NUMBA_AVAILABLE,
-                    reason="numba not installed")
-def test_env_numba_wins_over_numpy_argument(monkeypatch):
-    monkeypatch.setenv(kernels.ENV_VAR, "numba")
-    assert kernels.resolve_kernels("numpy") == "numba"
+    # An explicit request is overridden by the environment — the
+    # inversion of the REPRO_PARALLEL_* precedence, so an operator can
+    # force the reference kernels process-wide.
+    assert kernels.resolve_kernels("fake") == "numpy"
+    monkeypatch.setenv(kernels.ENV_VAR, "fake")
+    assert kernels.resolve_kernels("numpy") == "fake"
 
 
 def test_env_reaches_solver_and_stepper(monkeypatch):
@@ -99,28 +101,14 @@ def test_unknown_kernel_name_raises():
         kernels.get_kernel("no_such_kernel")
 
 
-# ----------------------------------------------------------------------
-# numba-absent fallback: warn once, return the reference backend.
-
-
-@pytest.mark.skipif(numba_backend.NUMBA_AVAILABLE,
-                    reason="numba is installed; fallback unreachable")
-def test_numba_fallback_warns_once(monkeypatch):
-    monkeypatch.setattr(kernels, "_warned_fallback", False)
-    with pytest.warns(RuntimeWarning, match="falling back"):
-        assert kernels.resolve_kernels("numba") == "numpy"
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # second resolve must stay silent
-        assert kernels.resolve_kernels("numba") == "numpy"
-
-
-@pytest.mark.skipif(numba_backend.NUMBA_AVAILABLE,
-                    reason="numba is installed; fallback unreachable")
-def test_numba_fallback_via_env(monkeypatch):
-    monkeypatch.setenv(kernels.ENV_VAR, "numba")
-    monkeypatch.setattr(kernels, "_warned_fallback", False)
-    with pytest.warns(RuntimeWarning):
-        assert kernels.resolve_kernels(None) == "numpy"
+@pytest.mark.parametrize("name", ["numba", "arrayapi:numpy"])
+def test_retired_backends_raise(monkeypatch, name):
+    """Backends that are no longer shipped fail loudly, never fall back."""
+    with pytest.raises(ValueError, match="backend="):
+        kernels.resolve_kernels(name)
+    monkeypatch.setenv(kernels.ENV_VAR, name)
+    with pytest.raises(ValueError, match=kernels.ENV_VAR):
+        kernels.resolve_kernels(None)
 
 
 # ----------------------------------------------------------------------
@@ -136,37 +124,17 @@ def test_every_kernel_registered_for_numpy():
         assert callable(fn)
 
 
-@pytest.mark.skipif(not numba_backend.NUMBA_AVAILABLE,
-                    reason="numba not installed")
-def test_numba_table_complete_and_distinct():
-    table = kernels.get_kernel_table("numba")
-    ref = kernels.get_kernel_table("numpy")
-    for name in kernels.KERNEL_NAMES:
-        assert table[name] is not ref[name]
-
-
-def test_partial_backend_falls_back_to_numpy_reference():
-    sentinel = object()
-
-    def fake_collide(*a, **k):  # pragma: no cover - never called
-        return sentinel
-
-    kernels.register_backend("fake", {"collide_bgk": fake_collide})
-    try:
-        assert "fake" in kernels.available_backends()
-        assert kernels.get_kernel("collide_bgk", "fake") is fake_collide
-        # Kernels the partial backend does not provide resolve to the
-        # numpy reference implementation.
-        assert (kernels.get_kernel("stream_pull", "fake")
-                is kernels.get_kernel("stream_pull", "numpy"))
-        table = kernels.get_kernel_table("fake")
-        assert table["collide_bgk"] is fake_collide
-        assert table["skalak_forces"] is kernels.get_kernel(
-            "skalak_forces", "numpy")
-    finally:
-        for impls in kernels._REGISTRY.values():
-            impls.pop("fake", None)
-    assert "fake" not in kernels.available_backends()
+def test_partial_backend_falls_back_to_numpy_reference(fake_backend):
+    assert kernels.resolve_kernels("fake") == "fake"
+    assert kernels.get_kernel("collide_bgk", "fake") is fake_backend
+    # Kernels the partial backend does not provide resolve to the numpy
+    # reference implementation.
+    assert (kernels.get_kernel("stream_pull", "fake")
+            is kernels.get_kernel("stream_pull", "numpy"))
+    table = kernels.get_kernel_table("fake")
+    assert table["collide_bgk"] is fake_backend
+    assert table["skalak_forces"] is kernels.get_kernel(
+        "skalak_forces", "numpy")
 
 
 def test_register_kernel_is_a_decorator():
@@ -181,7 +149,7 @@ def test_register_kernel_is_a_decorator():
 
 
 # ----------------------------------------------------------------------
-# Telemetry gauge and warmup.
+# Telemetry gauge.
 
 
 def test_kernel_table_publishes_backend_gauge():
@@ -191,38 +159,50 @@ def test_kernel_table_publishes_backend_gauge():
     assert tel.gauge("kernels.backend").value == kernels.BACKEND_IDS["numpy"]
 
 
-def test_warmup_numpy_is_empty():
-    assert kernels.warmup("numpy") == {}
+# ----------------------------------------------------------------------
+# resolve_dtype precedence (env wins, same policy as resolve_kernels)
 
 
-@pytest.mark.skipif(not numba_backend.NUMBA_AVAILABLE,
-                    reason="numba not installed")
-def test_warmup_numba_times_every_kernel():
-    times = kernels.warmup("numba")
-    assert set(times) == set(kernels.KERNEL_NAMES)
-    assert all(t >= 0.0 for t in times.values())
+def test_resolve_dtype_default(monkeypatch):
+    monkeypatch.delenv(DTYPE_ENV_VAR, raising=False)
+    assert resolve_dtype() == np.dtype(DEFAULT_DTYPE) == np.float64
+
+
+def test_resolve_dtype_ctor_arg(monkeypatch):
+    monkeypatch.delenv(DTYPE_ENV_VAR, raising=False)
+    assert resolve_dtype("float32") == np.float32
+    assert resolve_dtype(np.float32) == np.float32
+    assert resolve_dtype(np.dtype(np.float64)) == np.float64
+
+
+def test_resolve_dtype_env_wins_over_arg(monkeypatch):
+    monkeypatch.setenv(DTYPE_ENV_VAR, "float32")
+    assert resolve_dtype("float64") == np.float32
+
+
+def test_resolve_dtype_rejects_non_compute_dtypes(monkeypatch):
+    monkeypatch.delenv(DTYPE_ENV_VAR, raising=False)
+    with pytest.raises(ValueError, match="float16"):
+        resolve_dtype("float16")
+    with pytest.raises(ValueError):
+        resolve_dtype("int32")
+
+
+def test_resolve_dtype_rejects_bad_env(monkeypatch):
+    monkeypatch.setenv(DTYPE_ENV_VAR, "float16")
+    with pytest.raises(ValueError, match=DTYPE_ENV_VAR):
+        resolve_dtype("float64")
 
 
 # ----------------------------------------------------------------------
-# CLI plumbing: the --kernels flag parses on every stepper-building
-# subcommand (main() copies it into REPRO_KERNELS; env-wins does the rest).
+# CLI: no subcommand takes --kernels any more (REPRO_KERNELS is the seam).
 
 
-@pytest.mark.parametrize("argv", [
-    ["shear", "--kernels", "numpy"],
-    ["tube", "--kernels", "numpy"],
-    ["channel", "--kernels", "numpy"],
-    ["profile", "tube", "--kernels", "numpy"],
-])
-def test_cli_kernels_flag_parses(argv):
+def test_cli_has_no_kernels_flag():
     from repro.cli import build_parser
 
-    args = build_parser().parse_args(argv)
-    assert args.kernels == "numpy"
-
-
-def test_cli_kernels_flag_rejects_unknown():
-    from repro.cli import build_parser
-
-    with pytest.raises(SystemExit):
-        build_parser().parse_args(["tube", "--kernels", "cuda"])
+    for argv in (["shear"], ["tube"], ["channel"], ["profile", "tube"],
+                 ["trace", "tube"], ["kernels"]):
+        build_parser().parse_args(argv)
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv + ["--kernels", "numpy"])

@@ -1,25 +1,20 @@
 """Golden-trajectory matrix over kernels backends × executor backends.
 
 The reference is the serial stepper on the NumPy kernels.  Every
-combination of kernels backend ("numpy" | "arrayapi:numpy" | "numba"
-when installed) and FSI executor backend ("serial" | "threads" |
-"processes") must reproduce it: bitwise for the numpy kernels (the
-dispatch layer is a pure refactor) and for arrayapi:numpy (the
-device-portable kernels are pinned bitwise on the host namespace),
-within 1e-12 for numba (compiled loops reassociate the moment/force
-reductions; see docs/performance.md, "Compiled kernels").
-The mid-run population-change leg exercises the stencil rebuild and
-shared-memory remap path under both kernels backends.
+combination of kernels backend and FSI executor backend ("serial" |
+"threads" | "processes") must reproduce it bitwise: the dispatch layer is
+a pure refactor.  The mid-run population-change leg exercises the
+stencil rebuild and shared-memory remap path.
 
-The kernels choice travels via REPRO_KERNELS (env-wins), exactly how the
-tier1-jit CI leg and operators select it.
+The kernels choice travels via REPRO_KERNELS (env-wins), exactly how a
+CI leg or an operator selects it.
 """
 
 import numpy as np
 import pytest
 
 from repro.fsi import CellManager, FSIStepper
-from repro.kernels import ENV_VAR, available_backends
+from repro.kernels import ENV_VAR
 from repro.lbm import Grid
 from repro.membrane import make_rbc
 from repro.membrane.cell import random_rotation
@@ -33,21 +28,8 @@ SUBDIVISIONS = 1
 SEED = 7
 N_STEPS = 16
 
-#: Backends held bitwise to the reference (pure dispatch refactors).
-BITWISE_BACKENDS = ("numpy", "arrayapi:numpy")
-
-KERNELS_BACKENDS = [
-    pytest.param("numpy", id="numpy"),
-    pytest.param("arrayapi:numpy", id="arrayapi"),
-    pytest.param(
-        "numba",
-        id="numba",
-        marks=pytest.mark.skipif(
-            "numba" not in available_backends(),
-            reason="numba not installed (pip install -e .[jit])",
-        ),
-    ),
-]
+#: Kernels backends held bitwise to the reference.
+KERNELS_BACKENDS = [pytest.param("numpy", id="numpy")]
 
 EXECUTORS = [("serial", None), ("threads", 2), ("processes", 2)]
 
@@ -105,14 +87,9 @@ def _extra_cell(st: FSIStepper):
 
 
 def _assert_matches(got, want, kernels_backend, label):
-    if kernels_backend in BITWISE_BACKENDS:
-        assert np.array_equal(got, want), (
-            f"{label}: {kernels_backend} leg must be bitwise"
-        )
-    else:
-        scale = max(np.abs(want).max(), 1e-300)
-        rel = np.abs(np.asarray(got) - np.asarray(want)).max() / scale
-        assert rel < 1e-12, f"{label}: rel diff {rel:.3e} exceeds 1e-12"
+    assert np.array_equal(got, want), (
+        f"{label}: {kernels_backend} leg must be bitwise"
+    )
 
 
 @pytest.fixture(scope="module")

@@ -196,6 +196,43 @@ def test_resolve_backend_env(monkeypatch):
     assert workers == 1  # serial always runs single-worker
 
 
+def test_resolve_backend_uncapped_defaults(monkeypatch):
+    # The FSI runtime passes no rank count: nothing caps the workers.
+    monkeypatch.delenv("REPRO_PARALLEL_BACKEND", raising=False)
+    monkeypatch.delenv("REPRO_PARALLEL_WORKERS", raising=False)
+    assert resolve_backend(None, None) == ("serial", 1)
+
+
+def test_resolve_backend_uncapped_env(monkeypatch):
+    monkeypatch.setenv("REPRO_PARALLEL_BACKEND", "threads")
+    monkeypatch.setenv("REPRO_PARALLEL_WORKERS", "3")
+    assert resolve_backend(None, None) == ("threads", 3)
+    # Explicit arguments win over the environment.
+    assert resolve_backend("serial", 5) == ("serial", 1)
+    assert resolve_backend("processes", 2) == ("processes", 2)
+    # Only a rank count caps the worker count.
+    assert resolve_backend("threads", 6) == ("threads", 6)
+    assert resolve_backend("threads", 6, n_tasks=4) == ("threads", 4)
+
+
+def test_resolve_backend_rejects_unknown():
+    with pytest.raises(ValueError, match="mpi"):
+        resolve_backend("mpi", None)
+
+
+def test_resolve_backend_rejects_zero_workers(monkeypatch):
+    monkeypatch.setenv("REPRO_PARALLEL_WORKERS", "abc")
+    with pytest.raises(ValueError, match="REPRO_PARALLEL_WORKERS='abc'"):
+        resolve_backend("threads", None)
+    monkeypatch.setenv("REPRO_PARALLEL_WORKERS", "0")
+    with pytest.raises(ValueError, match="REPRO_PARALLEL_WORKERS='0'"):
+        resolve_backend("threads", None, n_tasks=4)
+    with pytest.raises(ValueError, match="workers=0"):
+        resolve_backend("processes", 0)
+    with pytest.raises(ValueError, match="workers=0"):
+        resolve_backend("serial", 0, n_tasks=4)
+
+
 def test_env_backend_reaches_solver(monkeypatch):
     monkeypatch.setenv("REPRO_PARALLEL_BACKEND", "threads")
     monkeypatch.setenv("REPRO_PARALLEL_WORKERS", "2")

@@ -41,6 +41,49 @@ def test_active_restores_on_exception(tmp_path):
     tel.close()
 
 
+def test_active_is_per_thread():
+    """Overlapping ``active()`` scopes in two threads (the inline campaign
+    jobs under ``max_parallel=2``) each see their own backend, and none
+    is left installed afterwards."""
+    import threading
+
+    tels = [Telemetry(), Telemetry()]
+    entered0, exited0 = threading.Event(), threading.Event()
+    both_in, both_looked = threading.Barrier(2), threading.Barrier(2)
+    seen: dict = {}
+
+    def job(i):
+        # Thread 0 installs first and uninstalls first: the interleaving
+        # that leaks a backend when installation is process-wide.
+        if i == 1:
+            entered0.wait(5.0)
+        with active(tels[i]):
+            if i == 0:
+                entered0.set()
+            both_in.wait(5.0)
+            seen[i] = get_telemetry()
+            with get_telemetry().phase(f"job{i}"):
+                pass
+            both_looked.wait(5.0)
+            if i == 1:
+                exited0.wait(5.0)
+        if i == 0:
+            exited0.set()
+        seen[f"after{i}"] = get_telemetry()
+
+    threads = [threading.Thread(target=job, args=(i,)) for i in (0, 1)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(10.0)
+    assert not any(t.is_alive() for t in threads)
+    assert seen[0] is tels[0] and seen[1] is tels[1]
+    assert seen["after0"] is NULL and seen["after1"] is NULL
+    assert get_telemetry() is NULL
+    assert set(tels[0].summary()["phases"]) == {"job0"}
+    assert set(tels[1].summary()["phases"]) == {"job1"}
+
+
 def test_set_telemetry_none_restores_null():
     tel = Telemetry()
     set_telemetry(tel)

@@ -162,7 +162,7 @@ def test_configs_differ_on_dtype():
 def test_configs_differ_on_kernels_backend():
     a = _artifact(BASE_PHASES, config={"shape": [12, 12, 12]})
     b = _artifact(BASE_PHASES, config={"shape": [12, 12, 12],
-                                       "kernels": "numba"})
+                                       "kernels": "compiled"})
     assert not reg.configs_match(a, b)
 
 

@@ -87,24 +87,23 @@ def test_shear_command(tmp_path, capsys):
     assert len(data) > 0
 
 
-def test_kernels_command(capsys):
+def test_kernels_command(monkeypatch, capsys):
+    monkeypatch.delenv("REPRO_KERNELS", raising=False)
+    monkeypatch.delenv("REPRO_DTYPE", raising=False)
     assert main(["kernels"]) == 0
     out = capsys.readouterr().out
-    assert "numpy" in out
-    assert "arrayapi:numpy" in out
-    assert "arrayapi:cupy" in out
-    assert "active" in out
-    assert "dtype" in out
+    assert "active backend: numpy [default]" in out
+    assert "compute dtype: float64 [default]" in out
+    assert "collide_bgk" in out
 
 
-def test_kernels_command_warmup_and_flag(monkeypatch, capsys):
-    # main() publishes --kernels via REPRO_KERNELS; pin the pre-test
-    # state with monkeypatch so the mutation is rolled back afterwards.
+def test_kernels_command_reports_env_source(monkeypatch, capsys):
     monkeypatch.setenv("REPRO_KERNELS", "numpy")
-    assert main(["kernels", "--kernels", "arrayapi:numpy", "--warmup"]) == 0
+    monkeypatch.setenv("REPRO_DTYPE", "float32")
+    assert main(["kernels"]) == 0
     out = capsys.readouterr().out
-    assert "--kernels" in out  # the selection source is reported
-    assert "warmup" in out
+    assert "active backend: numpy [REPRO_KERNELS=numpy]" in out
+    assert "compute dtype: float32 [REPRO_DTYPE=float32]" in out
 
 
 def test_unknown_command_rejected():
